@@ -3,9 +3,9 @@
 //! Two artifacts are produced at the repo root:
 //!
 //! * `BENCH_stage1.json` — single-thread extraction throughput of the
-//!   optimized engine ([`dr_logscan::XidExtractor`]: prefiltered,
-//!   allocation-free regex execution plus the byte-level header fast
-//!   path) against the pre-optimization engine kept verbatim as
+//!   optimized engine ([`dr_logscan::XidExtractor`]: literal prefilter
+//!   plus byte-level parsers for the syslog header and the XID report)
+//!   against the pre-optimization engine kept verbatim as
 //!   [`dr_logscan::BaselineExtractor`], on a dense XID-heavy workload
 //!   and a noisy realistic mix. The dense speedup is the ratcheted
 //!   headline number (target ≥3×).

@@ -148,10 +148,17 @@ fn apply_summary(state: (i32, u8), summary: Option<StateSummary>) -> (i32, u8) {
 
 /// Default chunk size: enough chunks to keep the worker pool load-balanced
 /// (4 per worker), but no smaller than 64 KiB so per-chunk overhead stays
-/// negligible at scale.
+/// negligible at scale, and no larger than [`MAX_DEFAULT_TARGET`] so the
+/// resident waves stay bounded however large the corpus is.
 fn default_target_bytes(total: u64, workers: usize) -> u64 {
-    (total / ((workers as u64) * 4).max(1)).clamp(64 * 1024, u64::MAX)
+    (total / ((workers as u64) * 4).max(1)).clamp(64 * 1024, MAX_DEFAULT_TARGET)
 }
+
+/// Largest default chunk target. A few MiB per chunk keeps the per-wave
+/// fixed cost (two pool passes and a scanner summary per chunk) small
+/// next to the extraction work, and bounds the two waves prefetch keeps
+/// resident at `2 × workers × 4 MiB` of text, whatever the corpus size.
+const MAX_DEFAULT_TARGET: u64 = 4 << 20;
 
 /// Chunk-size target when the source cannot report its total size
 /// (generative sources): large enough that per-chunk overhead vanishes,
@@ -615,6 +622,22 @@ mod tests {
             assert!(c.bytes >= total / 8);
             assert!(c.bytes < total / 8 + 200);
         }
+    }
+
+    #[test]
+    fn default_chunk_target_is_bounded_on_both_sides() {
+        // Four chunks per worker in the middle range.
+        assert_eq!(default_target_bytes(8 << 20, 2), 1 << 20);
+        // Tiny corpora: the 64 KiB floor.
+        assert_eq!(default_target_bytes(1_000, 8), 64 * 1024);
+        // A corpus of the study's size (202 GB): the cap bounds the
+        // resident text.
+        assert_eq!(default_target_bytes(202_000_000_000, 2), MAX_DEFAULT_TARGET);
+        let cfg = WaveConfig::new(None, Some(202_000_000_000));
+        assert_eq!(cfg.target_bytes, MAX_DEFAULT_TARGET);
+        assert_eq!(cfg.wave_budget, MAX_DEFAULT_TARGET * cfg.workers as u64);
+        // An explicit target is taken as given.
+        assert_eq!(WaveConfig::new(Some(64 << 20), Some(1 << 40)).target_bytes, 64 << 20);
     }
 
     #[test]

@@ -214,31 +214,34 @@ impl WatermarkBuffer {
             return Vec::new();
         };
         let watermark = max_seen.saturating_sub(self.lateness);
-        let mut ready: Vec<ErrorRecord> = Vec::new();
-        self.pending.retain(|r| {
-            if r.at <= watermark {
-                ready.push(r.clone());
-                false
-            } else {
-                true
-            }
-        });
-        self.release(&mut ready);
+        // The sort key leads with `at`, so the ready records are a sorted
+        // prefix of the sorted buffer: hand that buffer out and keep only
+        // the held-back tail, so no released record is copied.
+        self.sort_pending();
+        let ready_len = self.pending.partition_point(|r| r.at <= watermark);
+        let held = self.pending.split_off(ready_len);
+        let ready = std::mem::replace(&mut self.pending, held);
+        self.mark_released(&ready);
         ready
     }
 
     /// End of stream (or a final drain): release everything pending,
     /// sorted, regardless of the watermark.
     pub fn flush(&mut self) -> Vec<ErrorRecord> {
-        let mut ready = std::mem::take(&mut self.pending);
-        self.release(&mut ready);
+        self.sort_pending();
+        let ready = std::mem::take(&mut self.pending);
+        self.mark_released(&ready);
         ready
     }
 
-    fn release(&mut self, ready: &mut [ErrorRecord]) {
-        ready.sort_by(|a, b| {
+    /// Stable sort by the total key; equal keys are identical records.
+    fn sort_pending(&mut self) {
+        self.pending.sort_by(|a, b| {
             (a.at, a.gpu, a.xid, &a.detail).cmp(&(b.at, b.gpu, b.xid, &b.detail))
         });
+    }
+
+    fn mark_released(&mut self, ready: &[ErrorRecord]) {
         if let Some(last) = ready.last() {
             self.released = Some(self.released.map_or(last.at, |r| r.max(last.at)));
         }
@@ -514,6 +517,64 @@ mod tests {
             let batch = coalesce(&records, cfg);
             let stream = stream_all(&records, cfg);
             prop_assert_eq!(batch, stream);
+        }
+
+        /// The watermark buffer releases exactly what filtering the
+        /// arrivals by the watermark and then sorting them would, and
+        /// holds back and drops the same records, over any interleaving
+        /// of pushes and drains.
+        #[test]
+        fn watermark_releases_match_filter_then_sort(
+            ops in prop::collection::vec((0u64..600, 0u32..3, 0u32..8), 0..300),
+            lateness in 0u64..120,
+        ) {
+            let mut w = WatermarkBuffer::new(Duration::from_secs(lateness));
+            let mut model: Vec<ErrorRecord> = Vec::new();
+            let (mut max_seen, mut released, mut dropped) = (None, None, 0u64);
+            let drain = |w: &mut WatermarkBuffer,
+                         model: &mut Vec<ErrorRecord>,
+                         max_seen: Option<Timestamp>,
+                         released: &mut Option<Timestamp>,
+                         everything: bool| {
+                let mut want: Vec<ErrorRecord> = if everything {
+                    std::mem::take(model)
+                } else if let Some(m) = max_seen {
+                    let mark = m.saturating_sub(Duration::from_secs(lateness));
+                    let want = model.iter().filter(|r| r.at <= mark).copied().collect();
+                    model.retain(|r| r.at > mark);
+                    want
+                } else {
+                    Vec::new()
+                };
+                want.sort_by(|a, b| {
+                    (a.at, a.gpu, a.xid, &a.detail).cmp(&(b.at, b.gpu, b.xid, &b.detail))
+                });
+                if let Some(last) = want.last() {
+                    *released = Some(released.map_or(last.at, |r: Timestamp| r.max(last.at)));
+                }
+                let got = if everything { w.flush() } else { w.drain_ready() };
+                (got, want)
+            };
+            for (secs, node, op) in ops {
+                if op == 0 {
+                    let (got, want) = drain(&mut w, &mut model, max_seen, &mut released, false);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(w.pending_len(), model.len());
+                    continue;
+                }
+                let r = rec(secs as f64, node, Xid::MmuError);
+                if released.is_some_and(|at| r.at < at) {
+                    dropped += 1;
+                } else {
+                    max_seen = Some(max_seen.map_or(r.at, |m: Timestamp| m.max(r.at)));
+                    model.push(r);
+                }
+                w.push(r);
+            }
+            prop_assert_eq!(w.late_dropped(), dropped);
+            let (got, want) = drain(&mut w, &mut model, max_seen, &mut released, true);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(w.pending_len(), 0);
         }
     }
 }

@@ -5,19 +5,26 @@
 //! XID lines yield structured records (timestamp, GPU = node + PCI address,
 //! XID code, message detail), everything else is counted and skipped.
 //!
-//! Two implementations share one pattern table: [`XidExtractor`] is the
-//! production fast path (byte-level header decode, scratch-reusing
-//! prefiltered regex execution, O(1) body-pattern dispatch by XID code);
-//! [`BaselineExtractor`] is the original Stage I code path (regex header,
-//! per-call Pike VM, linear dispatch), kept as the differential-testing
-//! oracle and as the "pre" engine of the throughput benchmark.
+//! The regex pattern table (`NVRM_PATTERN` plus one body pattern per
+//! studied XID) is the specification. [`XidExtractor`], the production
+//! path, does not run it: the report prefix and the 14 message bodies are
+//! fixed-shape, so it decodes them with a byte parser — a leftmost literal
+//! search, then a walk over a const token table per XID (literals plus
+//! maximal decimal / hex runs). The regex table itself drives two
+//! engines: [`BaselineExtractor`], the original Stage I code path (regex
+//! header, per-call Pike VM, linear dispatch) kept as the "pre" engine of
+//! the throughput benchmark, and the regex extractor in this module's
+//! tests, the oracle the byte parser is differentially tested against.
 
-use crate::regex::{MatchScratch, Regex};
+use crate::regex::Regex;
 use crate::syslog::{parse_header, SyslogLine, SyslogScanner};
 use dr_xid::{ErrorDetail, ErrorRecord, GpuId, PciAddr, Xid};
 
 /// Counters describing one extraction pass (useful for sanity-checking a
 /// campaign: how much of the log was noise, how much was malformed).
+///
+/// Every XID line lands in exactly one outcome:
+/// `xid_lines == records + unknown_xid + malformed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Total lines offered to the extractor.
@@ -35,7 +42,8 @@ pub struct ExtractStats {
     pub prefilter_hits: u64,
     /// Lines containing an NVRM XID report.
     pub xid_lines: u64,
-    /// XID lines with a code outside the studied set.
+    /// XID lines with a code outside the studied set, including codes
+    /// too large for a `u16`.
     pub unknown_xid: u64,
     /// XID lines whose message body failed detail extraction.
     pub malformed: u64,
@@ -72,6 +80,7 @@ struct BodyPattern {
 /// for this XID.
 type FieldSpec = Option<(usize, u32)>;
 
+/// The NVRM XID report pattern, applied unanchored to a syslog body.
 const NVRM_PATTERN: &str = r"kernel: NVRM: Xid \(PCI:([0-9a-f]{4}:[0-9a-f]{2}:[0-9a-f]{2})\): (\d+), (?:pid=('?<?\w+>?'?), )?(.*)$";
 
 fn body_pattern_table() -> Vec<(Xid, &'static str, FieldSpec, FieldSpec)> {
@@ -158,14 +167,259 @@ fn body_pattern_table() -> Vec<(Xid, &'static str, FieldSpec, FieldSpec)> {
     ]
 }
 
-/// The Stage I extractor: compiled pattern set plus syslog scanner state.
+// dr-lint: hot(begin)
+/// The literal head of [`NVRM_PATTERN`], up to the PCI address.
+const NVRM_PREFIX: &str = "kernel: NVRM: Xid (PCI:";
+
+/// The [`ErrorDetail`] field a captured digit run fills.
+#[derive(Clone, Copy, PartialEq)]
+enum Field {
+    Unit,
+    Qualifier,
+}
+
+/// One token of a message-body grammar.
+#[derive(Clone, Copy)]
+enum Tok {
+    /// Bytes that must appear verbatim.
+    Lit(&'static str),
+    /// A maximal non-empty `[0-9]+` run, read base 10.
+    Dec(Field),
+    /// A maximal non-empty `[0-9a-f]+` run, read base 16.
+    Hex(Field),
+}
+
+/// The body grammar of each studied XID: the token form of its
+/// [`body_pattern_table`] regex. Each starts with a literal, searched
+/// leftmost in the message detail; a field the grammar does not capture
+/// reads as 0.
+const fn body_grammar(xid: Xid) -> &'static [Tok] {
+    use Field::{Qualifier, Unit};
+    use Tok::{Dec, Hex, Lit};
+    match xid {
+        Xid::MmuError => &[
+            Lit("GPCCLIENT_T1_"),
+            Dec(Unit),
+            Lit(" faulted @ 0x7f_"),
+            Hex(Qualifier),
+        ],
+        Xid::DoubleBitEcc => &[
+            Lit("(DBE) has been detected on bank "),
+            Dec(Unit),
+            Lit(" row 0x"),
+            Hex(Qualifier),
+        ],
+        Xid::RowRemapEvent => &[
+            Lit("Row Remapper: remapping row 0x"),
+            Hex(Qualifier),
+            Lit(" in bank "),
+            Dec(Unit),
+        ],
+        Xid::RowRemapFailure => &[
+            Lit("Row Remapper: Failed to remap row 0x"),
+            Hex(Qualifier),
+            Lit(" in bank "),
+            Dec(Unit),
+        ],
+        Xid::NvlinkError => &[
+            Lit("NVLink: fatal error detected on link "),
+            Dec(Unit),
+            Lit(" (0x"),
+            Hex(Qualifier),
+            Lit(","),
+        ],
+        Xid::FallenOffBus => &[Lit("GPU has fallen off the bus")],
+        Xid::ContainedEcc => &[Lit("Contained: SM (0x"), Hex(Unit), Lit(")")],
+        Xid::UncontainedEcc => &[
+            Lit("Uncontained: LTC TAG (0x"),
+            Hex(Unit),
+            Lit(",0x"),
+            Hex(Qualifier),
+            Lit(")"),
+        ],
+        Xid::GspRpcTimeout => &[
+            Lit("RPC response from GPU"),
+            Dec(Unit),
+            Lit(" GSP! Expected function "),
+            Dec(Qualifier),
+        ],
+        Xid::GspError => &[
+            Lit("GSP task "),
+            Dec(Unit),
+            Lit(" raised fatal error 0x"),
+            Hex(Qualifier),
+        ],
+        Xid::PmuSpiError => &[
+            Lit("SPI RPC read failure (addr 0x"),
+            Hex(Qualifier),
+            Lit(")"),
+        ],
+        Xid::GraphicsEngineException => &[Lit("Graphics Exception: ESR 0x"), Hex(Qualifier)],
+        Xid::ResetChannelVerifError => &[
+            Lit("Reset Channel Verification Error on channel "),
+            Dec(Unit),
+        ],
+        Xid::Xid136 => &[Lit("Event 136 reported on engine "), Dec(Unit)],
+    }
+}
+
+/// The prefix fields of one NVRM XID report.
+struct Report<'a> {
+    pci: PciAddr,
+    /// The reported code; `None` when its digit run overflows `u16`.
+    code: Option<u16>,
+    /// Everything after the code and the optional `pid=` clause.
+    detail: &'a str,
+}
+
+/// Value of a `[0-9]` digit, or of a lowercase `[0-9a-f]` digit when
+/// `radix` is 16.
+fn digit(c: u8, radix: u64) -> Option<u64> {
+    match c {
+        b'0'..=b'9' => Some(u64::from(c - b'0')),
+        b'a'..=b'f' if radix == 16 => Some(u64::from(c - b'a') + 10),
+        _ => None,
+    }
+}
+
+/// The maximal digit run starting at `i`: its end offset and its value,
+/// `None` when the value overflows `u64`.
+fn read_run(b: &[u8], mut i: usize, radix: u64) -> (usize, Option<u64>) {
+    let mut value = Some(0u64);
+    while let Some(d) = b.get(i).and_then(|&c| digit(c, radix)) {
+        value = value.and_then(|v| v.checked_mul(radix)?.checked_add(d));
+        i += 1;
+    }
+    (i, value)
+}
+
+/// A fixed-width lowercase hex field.
+fn hex(digits: &[u8]) -> Option<u64> {
+    digits
+        .iter()
+        .try_fold(0u64, |v, &c| Some(v << 4 | digit(c, 16)?))
+}
+
+/// End of the `pid=('?<?\w+>?'?), ` clause starting at `i`, if one does.
+/// Each optional byte is taken whenever present: the token after it can
+/// never match that byte, so the regex has no other way to match.
+fn skip_pid(b: &[u8], i: usize) -> Option<usize> {
+    if !b.get(i..)?.starts_with(b"pid=") {
+        return None;
+    }
+    let mut i = i + 4;
+    i += usize::from(b.get(i) == Some(&b'\''));
+    i += usize::from(b.get(i) == Some(&b'<'));
+    let word = i;
+    while b
+        .get(i)
+        .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
+    {
+        i += 1;
+    }
+    if i == word {
+        return None;
+    }
+    i += usize::from(b.get(i) == Some(&b'>'));
+    i += usize::from(b.get(i) == Some(&b'\''));
+    b.get(i..)?.starts_with(b", ").then_some(i + 2)
+}
+
+/// Search `s` the way an unanchored regex that starts with the literal
+/// `lit` does: try `tail` just past each occurrence of `lit`, leftmost
+/// first, and return its first success.
+fn find_leftmost<T>(s: &str, lit: &str, tail: impl Fn(usize) -> Option<T>) -> Option<T> {
+    let mut from = 0;
+    loop {
+        let at = from + s.get(from..)?.find(lit)?;
+        if let Some(found) = tail(at + lit.len()) {
+            return Some(found);
+        }
+        from = at + 1;
+    }
+}
+
+/// The report whose PCI address starts at `i`, if the tail from there
+/// matches [`NVRM_PATTERN`].
+fn report_at(body: &str, i: usize) -> Option<Report<'_>> {
+    let b = body.as_bytes();
+    let [d0, d1, d2, d3, b':', b0, b1, b':', v0, v1, b')', b':', b' '] = *b.get(i..i + 13)? else {
+        return None;
+    };
+    let pci = PciAddr::new(
+        hex(&[d0, d1, d2, d3])? as u16,
+        hex(&[b0, b1])? as u8,
+        hex(&[v0, v1])? as u8,
+    );
+    let i = i + 13;
+    let (end, code) = read_run(b, i, 10);
+    if end == i || !b.get(end..)?.starts_with(b", ") {
+        return None;
+    }
+    let start = skip_pid(b, end + 2).unwrap_or(end + 2);
+    let detail = body.get(start..)?;
+    // The pattern's trailing `(.*)$`: `.` stops at a newline.
+    if detail.as_bytes().contains(&b'\n') {
+        return None;
+    }
+    Some(Report {
+        pci,
+        code: code.and_then(|c| u16::try_from(c).ok()),
+        detail,
+    })
+}
+
+/// Parse the leftmost NVRM XID report in a syslog message body: the byte
+/// form of the unanchored [`NVRM_PATTERN`].
+fn parse_report(body: &str) -> Option<Report<'_>> {
+    find_leftmost(body, NVRM_PREFIX, |i| report_at(body, i))
+}
+
+/// Match `toks` at offset `i` of `b`: the unit and qualifier values
+/// (0 when not captured, `None` when a run overflows `u64`).
+fn match_tokens(toks: &[Tok], b: &[u8], mut i: usize) -> Option<(Option<u64>, Option<u64>)> {
+    let (mut unit, mut qualifier) = (Some(0), Some(0));
+    for &tok in toks {
+        let (field, radix) = match tok {
+            Tok::Lit(lit) => {
+                if !b.get(i..)?.starts_with(lit.as_bytes()) {
+                    return None;
+                }
+                i += lit.len();
+                continue;
+            }
+            Tok::Dec(field) => (field, 10),
+            Tok::Hex(field) => (field, 16),
+        };
+        let (end, value) = read_run(b, i, radix);
+        if end == i {
+            return None;
+        }
+        i = end;
+        match field {
+            Field::Unit => unit = value,
+            Field::Qualifier => qualifier = value,
+        }
+    }
+    Some((unit, qualifier))
+}
+
+/// Extract the detail fields from an XID's message: the leftmost match
+/// of its body grammar. A run overflowing `u64` fails the line; a value
+/// too wide for its field is truncated.
+fn parse_detail(xid: Xid, detail: &str) -> Option<ErrorDetail> {
+    let Some((Tok::Lit(lead), rest)) = body_grammar(xid).split_first() else {
+        return None;
+    };
+    let (unit, qualifier) =
+        find_leftmost(detail, lead, |i| match_tokens(rest, detail.as_bytes(), i))?;
+    Some(ErrorDetail::new(unit? as u16, qualifier? as u32))
+}
+// dr-lint: hot(end)
+
+/// The Stage I extractor: syslog scanner state plus counters.
 pub struct XidExtractor {
     scanner: SyslogScanner,
-    nvrm: Regex,
-    /// Body patterns indexed directly by XID code: O(1) dispatch from the
-    /// already-parsed code instead of a linear scan.
-    dispatch: Vec<Option<BodyPattern>>,
-    scratch: MatchScratch,
     stats: ExtractStats,
 }
 
@@ -176,7 +430,7 @@ impl Default for XidExtractor {
 }
 
 impl XidExtractor {
-    /// Compile the full pattern set.
+    /// Extractor starting at the campaign's first year.
     pub fn new() -> Self {
         Self::with_scanner_state(2022, 1)
     }
@@ -185,28 +439,8 @@ impl XidExtractor {
     /// state — used by chunked parallel extraction to replay the state a
     /// serial scan would have reached at the chunk boundary.
     pub fn with_scanner_state(year: i32, last_month: u8) -> Self {
-        let nvrm = Regex::new(NVRM_PATTERN)
-            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
-            .expect("NVRM pattern compiles");
-
-        let table = body_pattern_table();
-        let max_code = table.iter().map(|(x, ..)| x.code()).max().unwrap_or(0);
-        let mut dispatch: Vec<Option<BodyPattern>> = Vec::new();
-        dispatch.resize_with(max_code as usize + 1, || None);
-        for (xid, pat, unit, qualifier) in table {
-            dispatch[xid.code() as usize] = Some(BodyPattern {
-                // dr-lint: allow(panic-freedom): constant patterns, round-trip tested below
-                re: Regex::new(pat).expect("body pattern compiles"),
-                unit,
-                qualifier,
-            });
-        }
-
         XidExtractor {
             scanner: SyslogScanner::starting_state(year, last_month),
-            nvrm,
-            dispatch,
-            scratch: MatchScratch::new(),
             stats: ExtractStats::default(),
         }
     }
@@ -241,45 +475,23 @@ impl XidExtractor {
         self.stats.syslog_lines += 1;
         let parsed = self.scanner.resolve(line, &header)?;
 
-        let m = self.nvrm.find_with(parsed.body, &mut self.scratch)?;
+        let report = parse_report(parsed.body)?;
         self.stats.xid_lines += 1;
 
-        let pci: PciAddr = m.group(parsed.body, 1)?.parse().ok()?;
-        let code: u16 = m.group(parsed.body, 2)?.parse().ok()?;
-        let Some(xid) = Xid::from_code(code) else {
+        let Some(xid) = report.code.and_then(Xid::from_code) else {
             self.stats.unknown_xid += 1;
             return None;
         };
-        let body = m.group(parsed.body, 4)?;
-
-        let Some(detail) = self.extract_detail(xid, body) else {
+        let Some(detail) = parse_detail(xid, report.detail) else {
             self.stats.malformed += 1;
             return None;
         };
 
         Some(ErrorRecord::new(
             parsed.at,
-            GpuId::new(parsed.host, pci),
+            GpuId::new(parsed.host, report.pci),
             xid,
             detail,
-        ))
-    }
-
-    fn extract_detail(&mut self, xid: Xid, body: &str) -> Option<ErrorDetail> {
-        let bp = self.dispatch.get(xid.code() as usize)?.as_ref()?;
-        let m = bp.re.find_with(body, &mut self.scratch)?;
-        let get = |spec: FieldSpec| -> Option<u64> {
-            match spec {
-                None => Some(0),
-                Some((group, radix)) => {
-                    let text = m.group(body, group)?;
-                    u64::from_str_radix(text, radix).ok()
-                }
-            }
-        };
-        Some(ErrorDetail::new(
-            get(bp.unit)? as u16,
-            get(bp.qualifier)? as u32,
         ))
     }
     // dr-lint: hot(end)
@@ -416,8 +628,9 @@ impl BaselineExtractor {
         self.stats.xid_lines += 1;
 
         let pci: PciAddr = m.group(parsed.body, 1)?.parse().ok()?;
-        let code: u16 = m.group(parsed.body, 2)?.parse().ok()?;
-        let Some(xid) = Xid::from_code(code) else {
+        // A code too large for a u16 is no studied XID either.
+        let code = m.group(parsed.body, 2)?.parse().ok();
+        let Some(xid) = code.and_then(Xid::from_code) else {
             self.stats.unknown_xid += 1;
             return None;
         };
@@ -521,6 +734,110 @@ mod tests {
     use dr_xid::syslog::{format_line, format_noise_line};
     use dr_xid::time::Duration;
     use dr_xid::{NodeId, Timestamp};
+
+    use crate::regex::MatchScratch;
+    use proptest::prelude::*;
+
+    // -----------------------------------------------------------------------
+    // The regex oracle: the specification of the byte parser
+    // -----------------------------------------------------------------------
+
+    /// The regex implementation of [`XidExtractor`], the executable
+    /// specification its byte parser is tested against: the same
+    /// prefilter, header decoder and scanner, with the report matched by
+    /// [`NVRM_PATTERN`] and the detail by the XID's [`body_pattern_table`]
+    /// pattern on the scratch-reusing Pike VM.
+    struct RegexOracle {
+        scanner: SyslogScanner,
+        nvrm: Regex,
+        /// Body patterns indexed directly by XID code.
+        dispatch: Vec<Option<BodyPattern>>,
+        scratch: MatchScratch,
+        stats: ExtractStats,
+    }
+
+    impl RegexOracle {
+        fn new() -> Self {
+            let nvrm = Regex::new(NVRM_PATTERN).expect("NVRM pattern compiles");
+            let table = body_pattern_table();
+            let max_code = table.iter().map(|(x, ..)| x.code()).max().unwrap_or(0);
+            let mut dispatch: Vec<Option<BodyPattern>> = Vec::new();
+            dispatch.resize_with(max_code as usize + 1, || None);
+            for (xid, pat, unit, qualifier) in table {
+                dispatch[xid.code() as usize] = Some(BodyPattern {
+                    re: Regex::new(pat).expect("body pattern compiles"),
+                    unit,
+                    qualifier,
+                });
+            }
+            RegexOracle {
+                scanner: SyslogScanner::starting_state(2022, 1),
+                nvrm,
+                dispatch,
+                scratch: MatchScratch::new(),
+                stats: ExtractStats::default(),
+            }
+        }
+
+        fn stats(&self) -> ExtractStats {
+            self.stats
+        }
+
+        fn extract_line(&mut self, line: &str) -> Option<ErrorRecord> {
+            self.stats.lines += 1;
+            if !line.contains(NVRM_NEEDLE) {
+                if parse_header(line).is_some() {
+                    self.stats.syslog_lines += 1;
+                }
+                return None;
+            }
+            self.stats.prefilter_hits += 1;
+            let header = parse_header(line)?;
+            self.stats.syslog_lines += 1;
+            let parsed = self.scanner.resolve(line, &header)?;
+
+            let m = self.nvrm.find_with(parsed.body, &mut self.scratch)?;
+            self.stats.xid_lines += 1;
+
+            let pci: PciAddr = m.group(parsed.body, 1)?.parse().ok()?;
+            let code = m.group(parsed.body, 2)?.parse().ok();
+            let Some(xid) = code.and_then(Xid::from_code) else {
+                self.stats.unknown_xid += 1;
+                return None;
+            };
+            let body = m.group(parsed.body, 4)?;
+
+            let Some(detail) = self.extract_detail(xid, body) else {
+                self.stats.malformed += 1;
+                return None;
+            };
+
+            Some(ErrorRecord::new(
+                parsed.at,
+                GpuId::new(parsed.host, pci),
+                xid,
+                detail,
+            ))
+        }
+
+        fn extract_detail(&mut self, xid: Xid, body: &str) -> Option<ErrorDetail> {
+            let bp = self.dispatch.get(xid.code() as usize)?.as_ref()?;
+            let m = bp.re.find_with(body, &mut self.scratch)?;
+            let get = |spec: FieldSpec| -> Option<u64> {
+                match spec {
+                    None => Some(0),
+                    Some((group, radix)) => {
+                        let text = m.group(body, group)?;
+                        u64::from_str_radix(text, radix).ok()
+                    }
+                }
+            };
+            Some(ErrorDetail::new(
+                get(bp.unit)? as u16,
+                get(bp.qualifier)? as u32,
+            ))
+        }
+    }
 
     fn sample_record(xid: Xid, unit: u16, qualifier: u32) -> ErrorRecord {
         ErrorRecord::new(
@@ -674,11 +991,24 @@ mod tests {
 
     #[test]
     fn unknown_xid_codes_are_counted() {
-        let mut ex = XidExtractor::new();
-        let line = "Jan  2 03:04:05 gpub042 kernel: NVRM: Xid (PCI:0000:c1:00): 999, \
-                    pid=5, something new";
-        assert!(ex.extract_line(line).is_none());
-        assert_eq!(ex.stats().unknown_xid, 1);
+        // 99999 overflows the u16 code: still an unknown XID, not lost.
+        for code in ["999", "99999"] {
+            let line = format!(
+                "Jan  2 03:04:05 gpub042 kernel: NVRM: Xid (PCI:0000:c1:00): {code}, \
+                 pid=5, something new"
+            );
+            let mut fast = XidExtractor::new();
+            let mut base = BaselineExtractor::new();
+            assert!(fast.extract_line(&line).is_none());
+            assert!(base.extract_line(&line).is_none());
+            for s in [fast.stats(), base.stats()] {
+                assert_eq!(
+                    (s.xid_lines, s.unknown_xid, s.malformed),
+                    (1, 1, 0),
+                    "{code}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -769,5 +1099,361 @@ mod tests {
         // unified structural definition, the baseline keeps the legacy
         // heuristic (which also counted the loginnode line).
         assert_eq!(bs.syslog_lines, fs.syslog_lines + 1);
+    }
+
+    #[test]
+    fn grammars_mirror_the_pattern_table() {
+        // Each grammar captures the same runs as its regex, in the same
+        // order, radix and field; and no run is followed by a literal
+        // that could continue it, so a maximal run is the regex's only
+        // way to match.
+        for (xid, pat, unit, qualifier) in body_pattern_table() {
+            let toks = body_grammar(xid);
+            assert!(
+                matches!(toks.first(), Some(Tok::Lit(_))),
+                "{xid}: no leading literal"
+            );
+            let runs: Vec<(Field, u32)> = toks
+                .iter()
+                .filter_map(|t| match *t {
+                    Tok::Lit(_) => None,
+                    Tok::Dec(f) => Some((f, 10)),
+                    Tok::Hex(f) => Some((f, 16)),
+                })
+                .collect();
+            let re = Regex::new(pat).expect("body pattern compiles");
+            assert_eq!(runs.len(), re.group_count() as usize, "{xid}: {pat}");
+            let spec = |field: Field| -> FieldSpec {
+                let i = runs.iter().position(|&(f, _)| f == field)?;
+                Some((i + 1, runs[i].1))
+            };
+            assert_eq!(spec(Field::Unit), unit, "{xid}: unit differs from {pat}");
+            assert_eq!(
+                spec(Field::Qualifier),
+                qualifier,
+                "{xid}: qualifier differs from {pat}"
+            );
+            for pair in toks.windows(2) {
+                if let [Tok::Dec(_) | Tok::Hex(_), Tok::Lit(lit)] = pair {
+                    let radix = if matches!(pair[0], Tok::Dec(_)) {
+                        10
+                    } else {
+                        16
+                    };
+                    assert!(digit(lit.as_bytes()[0], radix).is_none(), "{xid}: {lit:?}");
+                }
+            }
+        }
+    }
+
+    /// Lines that reach the report parser with damage of every kind the
+    /// outcome buckets must absorb.
+    fn hostile_lines() -> Vec<String> {
+        let h = "Jan  2 03:04:05 gpub042 ";
+        let p = "kernel: NVRM: Xid (PCI:0000:c1:00): ";
+        let mut lines: Vec<String> = [
+            "79, pid=1, GPU has fallen off the bus.",
+            "99999, pid=5, x",
+            "18446744073709551616, pid=5, x",
+            "0079, GPU has fallen off the bus.",
+            "999, pid=5, new",
+            "74, pid=5, NVLink: zap",
+            "63, pid='<unknown>', Row Remapper: remapping row 0xfffffffffffffffff in bank 1",
+            "63, pid='<unknown>', Row Remapper: remapping row 0x0000000000000000000001 in bank 1",
+            "31, pid=ab'c, MMU Fault: GPCCLIENT_T1_99999 faulted @ 0x7f_1",
+            "48, ",
+            "",
+        ]
+        .iter()
+        .map(|tail| format!("{h}{p}{tail}"))
+        .collect();
+        lines.push(format!(
+            "{h}kernel: NVRM: Xid (PCI:0000:C1:00): 79, pid=1, x"
+        ));
+        lines.push(format!("{h}kernel: NVRM: Xid garbage"));
+        lines.push(format!("garbage {p}79, pid=1, GPU has fallen off the bus."));
+        lines
+    }
+
+    #[test]
+    fn every_xid_line_has_exactly_one_outcome() {
+        let lines = hostile_lines();
+        let mut fast = XidExtractor::new();
+        let mut base = BaselineExtractor::new();
+        let fast_recs = fast.extract_all(lines.iter().map(|s| s.as_str()));
+        let base_recs = base.extract_all(lines.iter().map(|s| s.as_str()));
+        assert_eq!(fast_recs, base_recs);
+        for (s, records) in [
+            (fast.stats(), fast_recs.len()),
+            (base.stats(), base_recs.len()),
+        ] {
+            assert_eq!(
+                s.xid_lines,
+                records as u64 + s.unknown_xid + s.malformed,
+                "{s:?}"
+            );
+            assert!(s.unknown_xid >= 3 && s.malformed >= 3, "{s:?}");
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Differential tests: byte parser vs regex oracle
+    // -----------------------------------------------------------------------
+
+    /// Minimal deterministic PRNG (SplitMix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+            &xs[self.below(xs.len())]
+        }
+    }
+
+    /// Every studied XID rendered by `format_line` at field extremes: 0
+    /// and the type's maximum wherever its body prints the field, with a
+    /// numeric and an unknown pid.
+    fn extreme_lines() -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, &xid) in Xid::ALL.iter().enumerate() {
+            let (has_unit, has_qual) = encoded_fields(xid);
+            let units: &[u16] = if has_unit { &[0, u16::MAX] } else { &[0] };
+            let quals: &[u32] = if has_qual { &[0, u32::MAX] } else { &[0] };
+            for &unit in units {
+                for &qualifier in quals {
+                    for pid in [0, u32::MAX] {
+                        let rec = ErrorRecord::new(
+                            Timestamp::EPOCH + Duration::from_hours(i as u64 * 700),
+                            GpuId::at_slot(NodeId(i as u32), i),
+                            xid,
+                            ErrorDetail::new(unit, qualifier),
+                        );
+                        out.push(format_line(&rec, pid));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The `pid=` clause forms a line can carry; the empty one drops it.
+    const PID_FORMS: [&str; 7] = [
+        "pid=123, ",
+        "pid='<unknown>', ",
+        "",
+        "pid=ab'c, ",
+        "pid='<kworker_7>', ",
+        "pid=<x>', ",
+        "pid='', ",
+    ];
+
+    /// Report prefixes that fail to match, for doubling in front of a
+    /// real one, plus one that matches and swallows the real report.
+    const FIRST_COPIES: [&str; 6] = [
+        "kernel: NVRM: Xid (PCI:",
+        "kernel: NVRM: Xid (PCI:0000:C1:00): 79, ",
+        "kernel: NVRM: Xid (PCI:0000:c1:0): 79, ",
+        "kernel: NVRM: Xid (PCI:0000:c1:00): , ",
+        "kernel: NVRM: Xid (PCI:0000:c1:00): 79 ",
+        "kernel: NVRM: Xid (PCI:0000:c1:00): 31, ",
+    ];
+
+    /// Bytes random flips draw from: the grammar's own punctuation and
+    /// digit classes, their near misses, and a newline.
+    const FLIP_BYTES: &[u8] = b"0123456789abcdefABCDEFxz ,:'<>()_=\n";
+
+    /// Replace the `pid=…, ` clause (or insert at its place) with `form`.
+    fn with_pid(line: &str, form: &str) -> String {
+        let code_end = line
+            .find("): ")
+            .map(|i| i + 3)
+            .and_then(|i| line[i..].find(", ").map(|j| i + j + 2));
+        let Some(start) = code_end else {
+            return line.to_string();
+        };
+        let end = if line[start..].starts_with("pid=") {
+            line[start..].find(", ").map_or(start, |j| start + j + 2)
+        } else {
+            start
+        };
+        format!("{}{}{}", &line[..start], form, &line[end..])
+    }
+
+    /// One random mutation of a rendered XID line.
+    fn mutate(rng: &mut Rng, line: &str) -> String {
+        let prefix_at = line.find("kernel: NVRM").unwrap_or(0);
+        match rng.below(7) {
+            0 => {
+                let form = *rng.pick(&PID_FORMS);
+                with_pid(line, form)
+            }
+            1 => line[..rng.below(line.len() + 1)].to_string(),
+            2 => {
+                // Uppercase hex in the PCI address.
+                let at = line.find("(PCI:").map_or(0, |i| i + 5);
+                let end = (at + 10).min(line.len());
+                format!(
+                    "{}{}{}",
+                    &line[..at],
+                    line[at..end].to_uppercase(),
+                    &line[end..]
+                )
+            }
+            3 => format!(
+                "{}{}{}",
+                &line[..prefix_at],
+                rng.pick(&FIRST_COPIES),
+                &line[prefix_at..]
+            ),
+            4 => {
+                // Lengthen a hex run past 16 digits (zeros keep the value,
+                // other digits overflow it).
+                let Some(at) = line.rfind("0x").map(|i| i + 2) else {
+                    return line.to_string();
+                };
+                let pad = if rng.below(2) == 0 { "0" } else { "f" };
+                format!(
+                    "{}{}{}",
+                    &line[..at],
+                    pad.repeat(12 + rng.below(12)),
+                    &line[at..]
+                )
+            }
+            5 => {
+                // Replace the code with an out-of-set, overflowing or
+                // malformed digit run.
+                let codes = [
+                    "99999",
+                    "65535",
+                    "65536",
+                    "0079",
+                    "18446744073709551616",
+                    "",
+                    "7a",
+                    "120",
+                ];
+                let Some(start) = line.find("): ").map(|i| i + 3) else {
+                    return line.to_string();
+                };
+                let end = line[start..].find(',').map_or(start, |j| start + j);
+                format!("{}{}{}", &line[..start], rng.pick(&codes), &line[end..])
+            }
+            _ => {
+                let mut bytes = line.as_bytes().to_vec();
+                for _ in 0..1 + rng.below(3) {
+                    if !bytes.is_empty() {
+                        let i = prefix_at + rng.below(bytes.len() - prefix_at);
+                        bytes[i] = *rng.pick(FLIP_BYTES);
+                    }
+                }
+                String::from_utf8(bytes).expect("flips keep ASCII")
+            }
+        }
+    }
+
+    /// The report prefix as [`NVRM_PATTERN`] captures it from `text`:
+    /// PCI address, code, and where the detail (group 4) starts. The
+    /// detail start is invisible in records — no body grammar can match
+    /// inside a `pid=` clause — so it is compared here.
+    fn oracle_report(nvrm: &Regex, text: &str) -> Option<(PciAddr, Option<u16>, usize)> {
+        let m = nvrm.find(text)?;
+        Some((
+            m.group(text, 1)?.parse().ok()?,
+            m.group(text, 2)?.parse().ok(),
+            m.group_span(4)?.0,
+        ))
+    }
+
+    /// Run the byte parser and the regex oracle over the same stream:
+    /// the report prefix of every line, every record and, after every
+    /// line, every counter must agree.
+    fn assert_agrees_with_oracle(lines: &[String]) -> ExtractStats {
+        let mut fast = XidExtractor::new();
+        let mut oracle = RegexOracle::new();
+        for line in lines {
+            let report = parse_report(line).map(|r| (r.pci, r.code, line.len() - r.detail.len()));
+            assert_eq!(
+                report,
+                oracle_report(&oracle.nvrm, line),
+                "report on {line:?}"
+            );
+            assert_eq!(
+                fast.extract_line(line),
+                oracle.extract_line(line),
+                "record on {line:?}"
+            );
+            assert_eq!(fast.stats(), oracle.stats(), "counters after {line:?}");
+        }
+        fast.stats()
+    }
+
+    #[test]
+    fn byte_parser_matches_oracle_on_extremes_and_mutations() {
+        let base = extreme_lines();
+        let mut lines = base.clone();
+        for line in &base {
+            lines.extend(PID_FORMS.iter().map(|form| with_pid(line, form)));
+            let prefix_at = line.find("kernel: NVRM").expect("rendered report");
+            lines.extend(
+                FIRST_COPIES
+                    .iter()
+                    .map(|c| format!("{}{}{}", &line[..prefix_at], c, &line[prefix_at..])),
+            );
+        }
+        // Truncation at every byte offset, over one pid form per field
+        // combination.
+        for line in base.iter().step_by(2) {
+            lines.extend((0..line.len()).map(|k| line[..k].to_string()));
+        }
+        let mut rng = Rng(0x005e_ed0f_b17e);
+        for _ in 0..4000 {
+            let mut line = rng.pick(&base).clone();
+            for _ in 0..1 + rng.below(3) {
+                line = mutate(&mut rng, &line);
+            }
+            lines.push(line);
+        }
+        lines.extend(hostile_lines());
+        let s = assert_agrees_with_oracle(&lines);
+        // Sanity: every outcome bucket is exercised.
+        let records = s.xid_lines - s.unknown_xid - s.malformed;
+        assert!(
+            records > 1000 && s.unknown_xid > 100 && s.malformed > 100,
+            "{s:?}"
+        );
+        assert!(s.prefilter_hits > s.xid_lines, "{s:?}");
+    }
+
+    proptest! {
+        #[test]
+        fn prop_byte_parser_matches_oracle(
+            seed in any::<u64>(),
+            rounds in 0usize..4,
+            tail in "[ -~]{0,40}",
+        ) {
+            let base = extreme_lines();
+            let mut rng = Rng(seed);
+            let mut line = rng.pick(&base).clone();
+            for _ in 0..rounds {
+                line = mutate(&mut rng, &line);
+            }
+            // A random tail after a report prefix probes the body grammars.
+            let code = rng.pick(&Xid::ALL).code();
+            let probe = format!(
+                "Jan  2 03:04:05 gpub042 kernel: NVRM: Xid (PCI:0000:c1:00): {code}, {tail}"
+            );
+            assert_agrees_with_oracle(&[line, probe]);
+        }
     }
 }

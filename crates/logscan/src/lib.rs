@@ -17,7 +17,11 @@
 //!   year, so the scanner tracks month rollovers across a multi-year
 //!   campaign, exactly the hazard a real field study must handle.
 //! - [`extract`]: the XID pattern set and the extractor that turns raw
-//!   text lines back into structured [`dr_xid::ErrorRecord`]s.
+//!   text lines back into structured [`dr_xid::ErrorRecord`]s. The
+//!   production [`XidExtractor`] decodes the fixed-shape report prefix
+//!   and message bodies with a byte parser; the regex pattern set is its
+//!   specification, run by [`BaselineExtractor`] and by the test oracle
+//!   it is differentially tested against.
 
 pub mod extract;
 pub mod regex;

@@ -164,3 +164,30 @@ fn fleet_health_is_consistent_at_campaign_end() {
         }
     }
 }
+
+#[test]
+fn every_xid_line_lands_in_exactly_one_outcome() {
+    // Each XID line the extractor recognises yields a record, an
+    // unknown-code count or a malformed count — never nothing — on both
+    // the production parser and the regex baseline.
+    use gpu_resilience::logscan::{BaselineExtractor, ExtractStats, XidExtractor};
+    let out = tiny_output();
+    assert!(!out.text_logs.is_empty());
+    let check = |s: ExtractStats, records: usize| {
+        assert!(s.xid_lines > 0, "{s:?}");
+        assert_eq!(
+            s.xid_lines,
+            records as u64 + s.unknown_xid + s.malformed,
+            "{s:?}"
+        );
+    };
+    for (_, lines) in &out.text_logs {
+        let mut fast = XidExtractor::new();
+        let records = fast.extract_all(lines.iter().map(String::as_str));
+        check(fast.stats(), records.len());
+        let mut base = BaselineExtractor::new();
+        let base_records = base.extract_all(lines.iter().map(String::as_str));
+        check(base.stats(), base_records.len());
+        assert_eq!(records, base_records);
+    }
+}
