@@ -148,7 +148,7 @@ pub struct DirSource {
     total_bytes: u64,
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> DataError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> DataError {
     DataError::Io {
         path: path.display().to_string(),
         message: e.to_string(),

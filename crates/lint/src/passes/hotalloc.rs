@@ -1,5 +1,5 @@
 //! The hot-alloc pass: no per-call heap allocation inside marked Stage I
-//! match loops.
+//! match loops and jobs-table field scanners.
 //!
 //! The extraction engine's throughput rests on steady-state
 //! allocation-freedom: thread lists, capture-slot pools, and scratch
@@ -12,9 +12,10 @@
 //! `vec![...]`, and `Box::new` are flagged (reuse the scratch state
 //! threaded through the call instead, e.g. `MatchScratch`).
 //!
-//! The workspace check ratchets the markers themselves: the Stage I hot
-//! files must keep at least one balanced region each, so deleting the
-//! fences does not silently retire the invariant.
+//! The workspace check ratchets the markers themselves: the required hot
+//! files (the Stage I matchers and the jobs-table parser) must keep at
+//! least one balanced region each, so deleting the fences does not
+//! silently retire the invariant.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokenKind;
@@ -32,11 +33,12 @@ const BEGIN: &str = "hot(begin)";
 const END: &str = "hot(end)";
 
 /// Files whose hot regions the workspace check requires: the Stage I
-/// match loops the throughput benchmark tracks.
+/// match loops and the jobs-table row scanners the benchmark tracks.
 const REQUIRED: &[&str] = &[
     "crates/logscan/src/regex.rs",
     "crates/logscan/src/syslog.rs",
     "crates/logscan/src/extract.rs",
+    "crates/slurm/src/csv.rs",
 ];
 
 /// Whether a comment token is a region marker.
@@ -118,7 +120,7 @@ impl Pass for HotAllocPass {
                     path: path.to_string(),
                     line: 1,
                     col: 1,
-                    message: "Stage I hot file is missing; update the hot-alloc pass's \
+                    message: "required hot file is missing; update the hot-alloc pass's \
                               required-file list if it moved"
                         .to_string(),
                 });
@@ -139,7 +141,7 @@ impl Pass for HotAllocPass {
             }
             let message = if begins == 0 {
                 Some(
-                    "Stage I hot file has no hot-region markers; the allocation-freedom \
+                    "required hot file has no hot-region markers; the allocation-freedom \
                      ratchet requires at least one fenced match loop"
                         .to_string(),
                 )
@@ -243,6 +245,10 @@ mod tests {
             SourceFile::new(
                 "crates/logscan/src/extract.rs",
                 format!("{HOT}fn open_region() {{}}\n"),
+            ),
+            SourceFile::new(
+                "crates/slurm/src/csv.rs",
+                format!("{HOT}fn hot() {{}}\n{COLD}"),
             ),
         ]);
         let mut out = Vec::new();

@@ -21,6 +21,7 @@
 //! (results are bit-identical with or without it).
 
 use gpu_resilience::cli::{self, Flag, FlagSet, CHUNK_BYTES, DT, HOURS, METRICS, NODES, RECORDS, WORKERS};
+use gpu_resilience::core::job_impact::load_jobs;
 use gpu_resilience::core::{
     extract_to_store, CoalesceConfig, DirSource, GeneratorSource, LogSource, PipelineBuilder,
     Alert, RecordStore, StudyConfig, StudyResults, TailSource, WatchConfig, WatchSession,
@@ -354,21 +355,6 @@ fn write_metrics(path: Option<&Path>, sink: &MetricsSink) -> Result<(), String> 
 }
 
 fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
-    let jobs = match opts.path("jobs") {
-        None => None,
-        Some(p) => {
-            let text = read_file(&p)?;
-            Some(jobs_csv::from_csv(&text).map_err(|e| e.to_string())?)
-        }
-    };
-    let downtime = match opts.path("downtime") {
-        None => None,
-        Some(p) => {
-            let text = read_file(&p)?;
-            Some(files::downtime_from_csv(&text).map_err(|e| e.to_string())?)
-        }
-    };
-
     let default_hours = 855.0 * 24.0;
     let hours: f64 = opts.num("hours", default_hours).s()?;
     let dt: u64 = opts.num("dt", 5).s()?;
@@ -402,6 +388,18 @@ fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
         MetricsSink::recording()
     } else {
         MetricsSink::disabled()
+    };
+
+    let jobs = match opts.path("jobs") {
+        None => None,
+        Some(p) => Some(load_jobs(&p, &sink).s()?),
+    };
+    let downtime = match opts.path("downtime") {
+        None => None,
+        Some(p) => {
+            let text = read_file(&p)?;
+            Some(files::downtime_from_csv(&text).map_err(|e| e.to_string())?)
+        }
     };
 
     let results = if let Some(store_path) = opts.path("from-records") {

@@ -85,6 +85,86 @@ fn campaign_analyze_round_trip() {
             "stage {want} missing from analyze metrics"
         );
     }
+    // The jobs-table load is the job_impact stage's `parse` span, and the
+    // stage counts every job once.
+    let job_impact = metrics
+        .get("stages")
+        .and_then(Json::as_arr)
+        .and_then(|stages| {
+            stages
+                .iter()
+                .find(|s| s.get("stage").and_then(Json::as_str) == Some("job_impact"))
+        })
+        .expect("job_impact stage");
+    let spans: Vec<&str> = job_impact
+        .get("spans")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert!(spans.contains(&"parse"), "no parse span in {spans:?}");
+    let rows = std::fs::read_to_string(dir.join("jobs.csv"))
+        .expect("jobs.csv")
+        .lines()
+        .count()
+        - 1;
+    assert_eq!(
+        job_impact
+            .get("counters")
+            .and_then(|c| c.get("jobs"))
+            .and_then(Json::as_u64),
+        Some(rows as u64)
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn damaged_jobs_csv_fails_naming_its_line() {
+    let dir = temp_dir("damaged-jobs");
+    std::fs::create_dir_all(dir.join("logs")).expect("logs dir");
+    std::fs::write(
+        dir.join("logs/gpub000.log"),
+        "Jan 16 13:04:57 gpub000 kernel: NVRM: Xid (PCI:0000:0f:00): 13, pid=48241, \
+         Graphics Exception: ESR 0x5f6ad=0x1000e\n\
+         Jan 16 13:05:09 gpub000 sshd[9911]: Accepted publickey for ops\n",
+    )
+    .expect("write log");
+    let analyze = |jobs: &[u8]| {
+        std::fs::write(dir.join("jobs.csv"), jobs).expect("write jobs");
+        gpures()
+            .args(["analyze", "--logs"])
+            .arg(dir.join("logs"))
+            .arg("--jobs")
+            .arg(dir.join("jobs.csv"))
+            .args(["--nodes", "1", "--hours", "720"])
+            .output()
+            .expect("run analyze")
+    };
+    let head = b"id,start_us,end_us,state,exit_code,ml,gpus\n\
+                 1,0,60000000,COMPLETED,0,0,0/0000:0f:00\n";
+    let last = b"3,1296000000000,1296000100000,FAILED,13,1,0/0000:0f:00";
+
+    // A byte that is not UTF-8 fails its own line, not the whole file.
+    let mut damaged = head.to_vec();
+    damaged.extend_from_slice(b"2,0,60000000,COMPL\xffETED,0,0,0/0000:0f:00\n");
+    damaged.extend_from_slice(last);
+    let out = analyze(&damaged);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("jobs csv line 3: bad state"), "{stderr}");
+
+    // A last row without a newline parses like one with it.
+    let mut unterminated = head.to_vec();
+    unterminated.extend_from_slice(last);
+    let mut terminated = unterminated.clone();
+    terminated.push(b'\n');
+    let (a, b) = (analyze(&unterminated), analyze(&terminated));
+    assert!(a.status.success(), "{}", String::from_utf8_lossy(&a.stderr));
+    assert!(b.status.success(), "{}", String::from_utf8_lossy(&b.stderr));
+    assert_eq!(a.stdout, b.stdout);
+    assert!(String::from_utf8_lossy(&a.stdout).contains("Table 2"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
